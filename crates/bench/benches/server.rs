@@ -200,6 +200,7 @@ fn main() {
         rev: dblayout_bench::observatory::git_rev(&root),
         config: "workload=tpch22;catalog=tpch:0.1;adaptive_iterations".to_string(),
         threads: vec![2],
+        host_parallelism: dblayout_core::available_parallelism(),
         timings_ms: c
             .results
             .iter()

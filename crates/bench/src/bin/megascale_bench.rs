@@ -80,6 +80,7 @@ fn main() -> ExitCode {
             report.instance, report.reps
         ),
         threads: threads.clone(),
+        host_parallelism: report.host_available_parallelism,
         timings_ms: report
             .rows
             .iter()

@@ -2,7 +2,8 @@
 //!
 //! Usage: `search_bench [threads...]` (default `1 2 4 8`). Runs the
 //! sequential full-re-evaluation baseline, then the incremental parallel
-//! engine at each thread count, writes `results/search_bench.json`,
+//! engine at each thread count, times planning TPC-H 22 at SF1, writes
+//! `results/search_bench.json`,
 //! appends one observatory entry to the repo-root `BENCH_search.json`
 //! history (see `dblayout benchdiff`), and exits non-zero if any
 //! configuration's layout or cost diverges from the baseline — the
@@ -37,6 +38,10 @@ fn main() -> ExitCode {
             r.engine, r.threads, r.best_ms, r.speedup_vs_sequential_full, r.identical_to_baseline
         );
     }
+    println!(
+        "planning TPC-H 22 at SF1: best {:.2} ms of {} reps",
+        report.plan_tpch22_ms, report.reps
+    );
     println!();
     println!(
         "migration plan (full striping -> recommendation): {} steps, {} blocks ({} MB), {:.0} ms model transfer",
@@ -62,10 +67,12 @@ fn main() -> ExitCode {
                 .join(",")
         ),
         threads: threads.clone(),
+        host_parallelism: report.host_available_parallelism,
         timings_ms: report
             .rows
             .iter()
             .map(|r| (format!("{}/t{}", r.engine, r.threads), r.best_ms))
+            .chain([("plan/tpch22_sf1".to_string(), report.plan_tpch22_ms)])
             .collect(),
         phases_ms: report
             .phases

@@ -34,6 +34,9 @@ pub struct HistoryEntry {
     pub config: String,
     /// Thread counts exercised by the run.
     pub threads: Vec<usize>,
+    /// Available parallelism of the measuring host (informational: wall
+    /// times from hosts with different core counts are not comparable).
+    pub host_parallelism: usize,
     /// Named wall-time metrics, milliseconds (the regression gate).
     pub timings_ms: Vec<(String, f64)>,
     /// Per-phase wall-time attribution, milliseconds (informational).
@@ -59,6 +62,10 @@ impl HistoryEntry {
             (
                 "threads".to_string(),
                 Value::Seq(self.threads.iter().map(|&t| Value::U64(t as u64)).collect()),
+            ),
+            (
+                "host_parallelism".to_string(),
+                Value::U64(self.host_parallelism as u64),
             ),
             ("timings_ms".to_string(), map(&self.timings_ms)),
             ("phases_ms".to_string(), map(&self.phases_ms)),
@@ -487,6 +494,7 @@ mod tests {
             rev: "deadbeef0123".to_string(),
             config: config.to_string(),
             threads: vec![1, 4],
+            host_parallelism: 2,
             timings_ms: vec![
                 ("incremental/t4".to_string(), timing),
                 ("tiny/noise".to_string(), 0.04),

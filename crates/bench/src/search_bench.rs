@@ -21,6 +21,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use dblayout_catalog::tpch::tpch_catalog;
+use dblayout_core::advisor::Advisor;
 use dblayout_core::costmodel::{decompose_workload, CostModel};
 use dblayout_core::tsgreedy::{ts_greedy, TsGreedyConfig};
 use dblayout_core::{build_access_graph, Layout};
@@ -29,6 +30,8 @@ use dblayout_obs::counters::{self, Counter};
 use dblayout_obs::prof::PhaseTimer;
 use dblayout_planner::plan_statement;
 use dblayout_sql::parse_workload_file;
+use dblayout_workloads::parse_all;
+use dblayout_workloads::tpch22::tpch22;
 
 /// One measured engine configuration.
 #[derive(Debug, Clone, Serialize)]
@@ -100,6 +103,10 @@ pub struct SearchBenchReport {
     pub host_available_parallelism: usize,
     /// Repetitions per configuration (`best_ms` is the minimum).
     pub reps: usize,
+    /// Best-of-`reps` wall time of `Advisor::plan_workload` over the 22
+    /// TPC-H queries at SF1, ms — the optimizer's share of a
+    /// recommendation (history metric `plan/tpch22_sf1`).
+    pub plan_tpch22_ms: f64,
     /// Every row's layout/cost matched the baseline bit for bit.
     pub all_identical: bool,
     /// Dead-worker pool fallbacks observed during the run (scheduling
@@ -156,6 +163,17 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
         })
         .collect();
     drop(analyze);
+    let plan_tpch22_ms = {
+        let stmts = parse_all(&tpch22()).expect("TPC-H 22 parses");
+        let advisor = Advisor::new(&catalog, &disks);
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                advisor.plan_workload(&stmts).expect("TPC-H 22 plans");
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
     let sizes: Vec<u64> = catalog.objects().iter().map(|o| o.size_blocks).collect();
     let graph = {
         let _build = prof.phase("build-graph");
@@ -242,6 +260,7 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
         statements: plans.len(),
         host_available_parallelism: dblayout_core::available_parallelism(),
         reps,
+        plan_tpch22_ms,
         all_identical,
         pool_fallbacks: delta.get(Counter::ParPoolFallbacks),
         migration,

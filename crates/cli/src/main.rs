@@ -875,6 +875,7 @@ fn run_loadtest(args: &[String]) -> Result<ExitCode, String> {
             rev: git_rev(std::path::Path::new(".")),
             config,
             threads: vec![cfg.connections],
+            host_parallelism: dblayout_core::available_parallelism(),
             timings_ms,
             phases_ms: vec![("wall".to_string(), report.wall.as_secs_f64() * 1000.0)],
             counters,

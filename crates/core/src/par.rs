@@ -17,14 +17,18 @@
 //!   snapshot; no cross-candidate accumulation order depends on thread
 //!   interleaving.
 //!
-//! The pool is spawned once per search (not per iteration) via
-//! [`std::thread::scope`], so per-iteration dispatch costs two channel
-//! hops per worker rather than a thread spawn. A worker that dies
-//! mid-iteration (a panic in the scoring closure) is tolerated: its chunk
-//! is recomputed inline by the dispatcher, so a transient worker failure
-//! degrades throughput, never correctness. See DESIGN.md §7 for the full
+//! The workers are spawned at most once per search (not per iteration),
+//! inside a [`std::thread::scope`], and only by the first dispatch that
+//! engages more than one lane: a search whose iterations all stay inline
+//! (see [`effective_workers`]) starts no thread at all. After that,
+//! per-iteration dispatch costs two channel hops per worker rather than a
+//! thread spawn. A worker that dies mid-iteration (a panic in the scoring
+//! closure) is tolerated: its chunk is recomputed inline by the
+//! dispatcher, so a transient worker failure degrades throughput, never
+//! correctness. See DESIGN.md §7 for the full
 //! determinism argument.
 
+use std::cell::OnceCell;
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -88,13 +92,16 @@ struct Lane<J, O> {
     result_rx: Receiver<O>,
 }
 
-/// Handle to a running evaluation pool; see [`with_pool`].
+/// Handle to an evaluation pool; see [`with_pool`].
 pub struct Pool<'p, J, O> {
     threads: usize,
     process: &'p (dyn Fn(usize, &J) -> O + Sync),
-    /// Empty when `threads == 1`: dispatch then runs inline on the caller's
-    /// thread and no workers exist at all.
-    lanes: Vec<Lane<J, O>>,
+    /// Starts all `threads` workers; `None` when `threads == 1`, where
+    /// every dispatch runs inline on the caller's thread.
+    spawn: Option<&'p dyn Fn() -> Vec<Lane<J, O>>>,
+    /// The workers' lanes, filled by the first dispatch that engages more
+    /// than one of them.
+    lanes: OnceCell<Vec<Lane<J, O>>>,
 }
 
 impl<J, O> Pool<'_, J, O> {
@@ -121,15 +128,18 @@ impl<J, O> Pool<'_, J, O> {
     /// `workers` is clamped to `[1, threads()]`. With `workers == 1` the
     /// closure runs inline as worker 0 with zero channel hops even when
     /// the pool has live workers — small iterations fall back to exactly
-    /// the serial path. The returned vector has `workers` entries; the
-    /// caller's `process` must derive chunk ownership from the job (which
-    /// therefore carries the engaged-worker count, not the pool width).
+    /// the serial path, and a pool that only ever dispatches that way
+    /// never starts its workers. The returned vector has `workers`
+    /// entries; the caller's `process` must derive chunk ownership from
+    /// the job (which therefore carries the engaged-worker count, not the
+    /// pool width).
     pub fn dispatch_to(&self, job: Arc<J>, workers: usize) -> Vec<O> {
         let workers = workers.clamp(1, self.threads);
-        if self.lanes.is_empty() || workers == 1 {
-            return vec![(self.process)(0, &job)];
-        }
-        let engaged = &self.lanes[..workers];
+        let lanes = match self.spawn {
+            Some(spawn) if workers > 1 => self.lanes.get_or_init(spawn),
+            _ => return vec![(self.process)(0, &job)],
+        };
+        let engaged = &lanes[..workers];
         let delivered: Vec<bool> = engaged
             .iter()
             .map(|lane| lane.job_tx.send(job.clone()).is_ok())
@@ -154,7 +164,8 @@ impl<J, O> Pool<'_, J, O> {
 
 /// Runs `body` with a pool of `threads` workers, each applying `process`
 /// to every dispatched job; tears the pool down (joining all workers)
-/// before returning `body`'s result.
+/// before returning `body`'s result. The workers start with the first
+/// dispatch that engages more than one of them.
 ///
 /// `process(w, &job)` must derive worker `w`'s share of the work from the
 /// job itself (conventionally via [`chunk_range`]) and must not mutate
@@ -175,45 +186,61 @@ where
         return body(&Pool {
             threads,
             process,
-            lanes: Vec::new(),
+            spawn: None,
+            lanes: OnceCell::new(),
         });
     }
     std::thread::scope(|scope| {
-        let mut lanes = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (job_tx, job_rx) = channel::<Arc<J>>();
-            let (result_tx, result_rx) = channel::<O>();
-            scope.spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    // A panicking scorer must not unwind through the scope
-                    // (that would re-raise at join and kill the search the
-                    // dispatcher just rescued): catch it, drop this
-                    // worker's lanes, and let `dispatch` recompute the
-                    // chunk inline. The job snapshot is immutable, so a
-                    // mid-score panic leaves no partial state behind.
-                    let out =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(w, &job)));
-                    drop(job); // release the snapshot before handing back
-                    match out {
-                        Ok(out) => {
-                            if result_tx.send(out).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            });
-            lanes.push(Lane { job_tx, result_rx });
-        }
+        let spawn = || -> Vec<Lane<J, O>> {
+            (0..threads)
+                .map(|w| spawn_worker(scope, w, process))
+                .collect()
+        };
         body(&Pool {
             threads,
             process,
-            lanes,
+            spawn: Some(&spawn),
+            lanes: OnceCell::new(),
         })
         // Dropping the pool closes every job channel; workers drain and
         // exit, and the scope joins them.
     })
+}
+
+/// Starts worker `w` in `scope`, applying `process` to every job its lane
+/// delivers until the lane closes.
+fn spawn_worker<'scope, 'env, J, O>(
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    w: usize,
+    process: &'env (dyn Fn(usize, &J) -> O + Sync),
+) -> Lane<J, O>
+where
+    J: Send + Sync + 'env,
+    O: Send + 'env,
+{
+    let (job_tx, job_rx) = channel::<Arc<J>>();
+    let (result_tx, result_rx) = channel::<O>();
+    scope.spawn(move || {
+        while let Ok(job) = job_rx.recv() {
+            // A panicking scorer must not unwind through the scope (that
+            // would re-raise at join and kill the search the dispatcher
+            // just rescued): catch it, drop this worker's lanes, and let
+            // `dispatch` recompute the chunk inline. The job snapshot is
+            // immutable, so a mid-score panic leaves no partial state
+            // behind.
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(w, &job)));
+            drop(job); // release the snapshot before handing back
+            match out {
+                Ok(out) => {
+                    if result_tx.send(out).is_err() {
+                        break;
+                    }
+                }
+                Err(_) => break,
+            }
+        }
+    });
+    Lane { job_tx, result_rx }
 }
 
 #[cfg(test)]
@@ -335,6 +362,29 @@ mod tests {
                 assert_eq!(outs.len(), eff, "workers={workers}");
                 assert_eq!(outs.iter().sum::<u64>(), expected, "workers={workers}");
             }
+        });
+    }
+
+    #[test]
+    fn workers_start_on_first_multi_lane_dispatch() {
+        type Job = (Vec<u64>, usize);
+        let sum = |w: usize, job: &Job| -> u64 {
+            chunk_range(job.0.len(), job.1, w).map(|i| job.0[i]).sum()
+        };
+        with_pool(4, &sum, |pool| {
+            let items: Vec<u64> = (0..41).collect();
+            let expected: u64 = items.iter().sum();
+            for _ in 0..3 {
+                let outs = pool.dispatch_to(Arc::new((items.clone(), 1)), 1);
+                assert_eq!(outs, vec![expected]);
+            }
+            assert!(
+                pool.lanes.get().is_none(),
+                "inline dispatch spawned workers"
+            );
+            let outs = pool.dispatch_to(Arc::new((items.clone(), 2)), 2);
+            assert_eq!(outs.iter().sum::<u64>(), expected);
+            assert_eq!(pool.lanes.get().map(Vec::len), Some(4));
         });
     }
 

@@ -1,14 +1,17 @@
 //! Cost-based query optimization: statement → [`PhysicalPlan`].
 //!
 //! System-R-style left-deep dynamic programming over join orders with
-//! physical-property (sort order) tracking. The internal cost function here
+//! physical-property (sort order) tracking. Inside the DP a candidate's plan
+//! is a [`Recipe`] that shares its subtrees with the candidates it extends;
+//! owned [`PlanNode`] trees are materialised only for the full-width roots
+//! that reach `finish_select`. The internal cost function here
 //! drives *plan choice only*; it approximates I/O volume in block units with
 //! a random-I/O penalty. The layout advisor's cost model (paper Figure 7)
 //! lives in `dblayout-core` and consumes the plans this module produces —
 //! exactly the division of labor in the paper, where the server's optimizer
 //! picks plans while being "insensitive to database layout" (§5).
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
 use dblayout_catalog::{blocks_for_rows, Catalog, ObjectId, Table};
 use dblayout_sql::ast::{BinaryOp, Expr, FromItem, InsertSource, Query, SelectItem, Statement};
@@ -80,8 +83,16 @@ struct Binding {
     object: ObjectId,
 }
 
-/// A resolved column: (binding index, column name).
-type ColRef = (usize, String);
+/// Widest FROM clause the join DP accepts, in table bindings. The DP
+/// visits every subset of the bindings, so its time grows 2.5–3× per
+/// extra binding: tens of milliseconds at this width, seconds a few
+/// bindings past it (DESIGN.md §3 lists the measured times). The widest
+/// committed statement has 9 bindings.
+pub const MAX_JOIN_BINDINGS: usize = 12;
+
+/// A resolved column: (binding index, column name as spelled in the query).
+/// The name is shared, so copying a sort order costs a reference count.
+type ColRef = (usize, Rc<str>);
 
 /// Classified conjuncts of the statement's predicates.
 #[derive(Debug, Default)]
@@ -96,10 +107,116 @@ struct Preds {
     cross: Vec<Expr>,
 }
 
+/// How to build a candidate's plan. Join and sort steps point at the
+/// recipes of their inputs instead of owning copies, so extending a subset
+/// costs one node, however deep the subset's plan is.
+#[derive(Debug)]
+enum Recipe {
+    /// A built operator tree: an access path, an indexed nested-loops
+    /// inner, or a plan grown past the join DP.
+    Node(PlanNode),
+    MergeJoin {
+        on: Rc<str>,
+        rows: f64,
+        left: Rc<Recipe>,
+        right: Rc<Recipe>,
+    },
+    HashJoin {
+        on: Rc<str>,
+        rows: f64,
+        build: Rc<Recipe>,
+        probe: Rc<Recipe>,
+        spill_blocks: u64,
+    },
+    NestedLoops {
+        on: Rc<str>,
+        rows: f64,
+        outer: Rc<Recipe>,
+        inner: Rc<Recipe>,
+    },
+    Sort {
+        by: Rc<str>,
+        rows: f64,
+        spill_blocks: u64,
+        child: Rc<Recipe>,
+    },
+}
+
+impl Recipe {
+    /// Materialises the owned operator tree this recipe describes.
+    fn build(&self) -> PlanNode {
+        let boxed = |r: &Rc<Recipe>| Box::new(r.build());
+        match self {
+            Recipe::Node(node) => node.clone(),
+            Recipe::MergeJoin {
+                on,
+                rows,
+                left,
+                right,
+            } => PlanNode::MergeJoin {
+                on: on.to_string(),
+                rows: *rows,
+                left: boxed(left),
+                right: boxed(right),
+            },
+            Recipe::HashJoin {
+                on,
+                rows,
+                build,
+                probe,
+                spill_blocks,
+            } => PlanNode::HashJoin {
+                on: on.to_string(),
+                rows: *rows,
+                build: boxed(build),
+                probe: boxed(probe),
+                spill_blocks: *spill_blocks,
+            },
+            Recipe::NestedLoops {
+                on,
+                rows,
+                outer,
+                inner,
+            } => PlanNode::NestedLoops {
+                on: on.to_string(),
+                rows: *rows,
+                outer: boxed(outer),
+                inner: boxed(inner),
+            },
+            Recipe::Sort {
+                by,
+                rows,
+                spill_blocks,
+                child,
+            } => PlanNode::Sort {
+                by: by.to_string(),
+                rows: *rows,
+                spill_blocks: *spill_blocks,
+                child: boxed(child),
+            },
+        }
+    }
+}
+
+/// The owned tree of `plan`, moved out rather than copied when `plan` is
+/// an unshared built node.
+fn into_node(plan: Rc<Recipe>) -> PlanNode {
+    match Rc::try_unwrap(plan) {
+        Ok(Recipe::Node(node)) => node,
+        Ok(recipe) => recipe.build(),
+        Err(shared) => shared.build(),
+    }
+}
+
+/// Puts the operator `op` makes of its input on top of `plan`.
+fn wrap(plan: Rc<Recipe>, op: impl FnOnce(Box<PlanNode>) -> PlanNode) -> Rc<Recipe> {
+    Rc::new(Recipe::Node(op(Box::new(into_node(plan)))))
+}
+
 /// A candidate plan for a set of bindings during DP.
 #[derive(Debug, Clone)]
 struct Cand {
-    node: PlanNode,
+    plan: Rc<Recipe>,
     cost: f64,
     rows: f64,
     /// Estimated output row width in bytes.
@@ -125,7 +242,7 @@ impl<'a> Optimizer<'a> {
     /// Produces the physical plan for a statement.
     pub fn plan(&self, stmt: &Statement) -> PlanResult<PhysicalPlan> {
         let root = match stmt {
-            Statement::Select(q) => self.plan_select(q, &[])?.node,
+            Statement::Select(q) => into_node(self.plan_select(q, &[])?.plan),
             Statement::Insert { table, source, .. } => self.plan_insert(table, source)?,
             Statement::Update {
                 table,
@@ -149,71 +266,43 @@ impl<'a> Optimizer<'a> {
         if bindings.is_empty() {
             return Err(PlanError::Unsupported("SELECT without FROM".into()));
         }
+        if bindings.len() > MAX_JOIN_BINDINGS {
+            return Err(PlanError::Unsupported(format!(
+                "{} table bindings in one FROM clause (the join search allows at most {MAX_JOIN_BINDINGS})",
+                bindings.len()
+            )));
+        }
         let preds = self.classify_predicates(q, &bindings, outer)?;
         let needed = self.needed_columns(q, &bindings);
 
-        // Base access paths per binding.
-        let mut base: Vec<Vec<Cand>> = Vec::with_capacity(bindings.len());
-        for (i, b) in bindings.iter().enumerate() {
-            base.push(self.access_paths(i, b, &preds.local[i], &needed[i]));
-        }
-
-        // Join-order DP over left-deep trees.
+        // Join-order DP over left-deep trees: `dp[mask]` is the candidate
+        // frontier for the subset of bindings whose bits are set, seeded
+        // with each binding's access paths. Subsets grow one binding at a
+        // time, smaller masks first.
         let n = bindings.len();
-        let mut dp: HashMap<u64, Vec<Cand>> = HashMap::new();
-        for (i, cands) in base.iter().enumerate() {
-            dp.insert(1u64 << i, cands.clone());
+        let full = (1usize << n) - 1;
+        let mut dp: Vec<Vec<Cand>> = vec![Vec::new(); full + 1];
+        for (i, b) in bindings.iter().enumerate() {
+            dp[1 << i] = self.access_paths(i, b, &preds.local[i], &needed[i]);
         }
-        for size in 2..=n {
-            let mut masks: Vec<u64> = dp
-                .keys() // dblayout::allow(R6, reason = "the collected keys are sorted with sort_unstable two lines below before any order-sensitive use")
-                .copied()
-                .filter(|m| m.count_ones() as usize == size - 1)
-                .collect();
-            // Deterministic DP regardless of hash-map iteration order.
-            masks.sort_unstable();
-            let mut next: HashMap<u64, Vec<Cand>> = HashMap::new();
-            for mask in masks {
-                #[allow(clippy::needless_range_loop)] // b is a bitmask position
-                for b in 0..n {
-                    let bit = 1u64 << b;
-                    if mask & bit != 0 {
-                        continue;
-                    }
-                    let links: Vec<&(ColRef, ColRef, f64)> = preds
-                        .joins
-                        .iter()
-                        .filter(|(a, c, _)| {
-                            (mask >> a.0) & 1 == 1 && c.0 == b || (mask >> c.0) & 1 == 1 && a.0 == b
-                        })
-                        .collect();
-                    let left_cands = dp.get(&mask).expect("mask planned").clone();
-                    for left in &left_cands {
-                        for right in &base[b] {
-                            for cand in self.join_candidates(left, right, b, &links, &bindings) {
-                                insert_candidate(
-                                    next.entry(mask | bit).or_default(),
-                                    cand,
-                                    self.cfg.max_candidates,
-                                );
-                            }
+        for size in 1..n {
+            for mask in (1..full).filter(|m| m.count_ones() as usize == size) {
+                for b in (0..n).filter(|b| mask & (1 << b) == 0) {
+                    let edge = join_edge(mask, b, &preds.joins, &bindings[b].table);
+                    // Disconnected subsets still join (cartesian: no links,
+                    // selectivity 1.0), so every mask gets populated.
+                    let mut frontier = std::mem::take(&mut dp[mask | 1 << b]);
+                    for left in &dp[mask] {
+                        for right in &dp[1 << b] {
+                            self.join_candidates(left, right, b, &edge, &bindings, &mut frontier);
                         }
                     }
+                    dp[mask | 1 << b] = frontier;
                 }
             }
-            // Connected extensions may fail for disconnected join graphs; the
-            // cartesian candidates (links empty → sel 1.0) cover that, so
-            // every mask of this size is populated.
-            // dblayout::allow(R6, reason = "order-insensitive merge: each mask key is distinct, so dp's final content is identical under any iteration order")
-            for (mask, cands) in next {
-                dp.insert(mask, cands);
-            }
         }
-
-        let full = (1u64 << n) - 1;
-        let roots = dp
-            .remove(&full)
-            .ok_or_else(|| PlanError::Unsupported("join enumeration produced no plan".into()))?;
+        let roots = std::mem::take(&mut dp[full]);
+        drop(dp);
 
         // Finish each candidate (filters, subqueries, aggregation, order) and
         // keep the cheapest.
@@ -239,11 +328,11 @@ impl<'a> Optimizer<'a> {
         // Residual cross filters.
         for e in &preds.cross {
             cand.rows *= SEL_UNKNOWN;
-            cand.node = PlanNode::Filter {
+            cand.plan = wrap(cand.plan, |child| PlanNode::Filter {
                 predicate: render_expr(e),
                 rows: cand.rows,
-                child: Box::new(cand.node),
-            };
+                child,
+            });
         }
 
         // Subquery conjuncts.
@@ -255,10 +344,10 @@ impl<'a> Optimizer<'a> {
         if q.is_aggregating() {
             if q.group_by.is_empty() {
                 cand.rows = 1.0;
-                cand.node = PlanNode::StreamAggregate {
+                cand.plan = wrap(cand.plan, |child| PlanNode::StreamAggregate {
                     rows: 1.0,
-                    child: Box::new(cand.node),
-                };
+                    child,
+                });
                 cand.width = 32;
                 cand.order = None;
             } else {
@@ -274,10 +363,10 @@ impl<'a> Optimizer<'a> {
                     && cand.order == first_group_col
                     && q.group_by.len() == 1;
                 if sorted_on_group {
-                    cand.node = PlanNode::StreamAggregate {
+                    cand.plan = wrap(cand.plan, |child| PlanNode::StreamAggregate {
                         rows: groups,
-                        child: Box::new(cand.node),
-                    };
+                        child,
+                    });
                 } else {
                     // The hash table holds one entry per *group*: it spills
                     // (repartitioning its input) only when the groups
@@ -293,11 +382,11 @@ impl<'a> Optimizer<'a> {
                     };
                     cand.cost +=
                         self.cfg.spill_io_factor * spill as f64 + self.cfg.row_cpu_cost * cand.rows;
-                    cand.node = PlanNode::HashAggregate {
+                    cand.plan = wrap(cand.plan, |child| PlanNode::HashAggregate {
                         rows: groups,
                         spill_blocks: spill,
-                        child: Box::new(cand.node),
-                    };
+                        child,
+                    });
                     cand.order = None;
                 }
                 cand.rows = groups;
@@ -311,18 +400,18 @@ impl<'a> Optimizer<'a> {
             for sub in h.subqueries() {
                 let inner = self.plan_select(sub, bindings)?;
                 cand.cost += inner.cost;
-                cand.node = PlanNode::Apply {
+                cand.plan = wrap(cand.plan, |main| PlanNode::Apply {
                     rows: cand.rows,
-                    sub: Box::new(inner.node),
-                    main: Box::new(cand.node),
-                };
+                    sub: Box::new(into_node(inner.plan)),
+                    main,
+                });
             }
             cand.rows *= SEL_UNKNOWN;
-            cand.node = PlanNode::Filter {
+            cand.plan = wrap(cand.plan, |child| PlanNode::Filter {
                 predicate: render_expr(h),
                 rows: cand.rows,
-                child: Box::new(cand.node),
-            };
+                child,
+            });
         }
 
         // DISTINCT (when not already grouped).
@@ -336,11 +425,11 @@ impl<'a> Optimizer<'a> {
                 0
             };
             cand.cost += self.cfg.spill_io_factor * spill as f64;
-            cand.node = PlanNode::HashAggregate {
+            cand.plan = wrap(cand.plan, |child| PlanNode::HashAggregate {
                 rows: groups,
                 spill_blocks: spill,
-                child: Box::new(cand.node),
-            };
+                child,
+            });
             cand.rows = groups;
             cand.order = None;
         }
@@ -373,12 +462,12 @@ impl<'a> Optimizer<'a> {
                     .map(|o| render_expr(&o.expr))
                     .collect::<Vec<_>>()
                     .join(", ");
-                cand.node = PlanNode::Sort {
+                cand.plan = wrap(cand.plan, |child| PlanNode::Sort {
                     by,
                     rows: cand.rows,
                     spill_blocks: spill,
-                    child: Box::new(cand.node),
-                };
+                    child,
+                });
                 cand.order = target;
             }
         }
@@ -386,11 +475,11 @@ impl<'a> Optimizer<'a> {
         // TOP.
         if let Some(nrows) = q.top {
             cand.rows = cand.rows.min(nrows as f64);
-            cand.node = PlanNode::Top {
+            cand.plan = wrap(cand.plan, |child| PlanNode::Top {
                 n: nrows,
                 rows: cand.rows,
-                child: Box::new(cand.node),
-            };
+                child,
+            });
         }
 
         Ok(cand)
@@ -433,7 +522,7 @@ impl<'a> Optimizer<'a> {
         if let Some(q) = qualifier {
             if let Some(i) = bindings.iter().position(|b| b.name.eq_ignore_ascii_case(q)) {
                 if bindings[i].table.column(name).is_some() {
-                    return Ok(Some((i, name.to_string())));
+                    return Ok(Some((i, Rc::from(name))));
                 }
                 return Err(PlanError::UnknownColumn(format!("{q}.{name}")));
             }
@@ -449,7 +538,7 @@ impl<'a> Optimizer<'a> {
             .map(|(i, _)| i)
             .collect();
         match matches.len() {
-            1 => Ok(Some((matches[0], name.to_string()))),
+            1 => Ok(Some((matches[0], Rc::from(name)))),
             0 => {
                 if outer.iter().any(|b| b.table.column(name).is_some()) {
                     Ok(None)
@@ -573,7 +662,7 @@ impl<'a> Optimizer<'a> {
                 {
                     if let Some(cols) = &mut needed[i] {
                         if !cols.iter().any(|c| c.eq_ignore_ascii_case(&col)) {
-                            cols.push(col);
+                            cols.push(col.to_string());
                         }
                     }
                 }
@@ -602,27 +691,30 @@ impl<'a> Optimizer<'a> {
         let rows_out = (table.row_count as f64 * all_sel).max(1e-3);
         let mut out = Vec::new();
 
-        let with_filter = |node: PlanNode, scanned_rows: f64| -> PlanNode {
+        let with_filter = |node: PlanNode, scanned_rows: f64| -> Rc<Recipe> {
             if rows_out < scanned_rows * 0.999 && !local.is_empty() {
                 let pred = local
                     .iter()
                     .map(render_expr)
                     .collect::<Vec<_>>()
                     .join(" AND ");
-                PlanNode::Filter {
+                Rc::new(Recipe::Node(PlanNode::Filter {
                     predicate: pred,
                     rows: rows_out,
                     child: Box::new(node),
-                }
+                }))
             } else {
-                node
+                Rc::new(Recipe::Node(node))
             }
         };
 
         // 1. Full scan (always available). Emits clustered order.
-        let order = table.clustered_on.first().map(|c| (b_idx, c.clone()));
+        let order = table
+            .clustered_on
+            .first()
+            .map(|c| (b_idx, Rc::from(c.as_str())));
         out.push(Cand {
-            node: with_filter(
+            plan: with_filter(
                 PlanNode::TableScan {
                     object: binding.object,
                     name: table.name.clone(),
@@ -649,7 +741,7 @@ impl<'a> Optimizer<'a> {
                 let blocks = ((table_blocks as f64 * key_sel).ceil() as u64).max(1); // dblayout::allow(R8, reason = "key_sel is in [0,1], so the product is at most table_blocks; ceil keeps partial blocks")
                 let scanned = table.row_count as f64 * key_sel;
                 out.push(Cand {
-                    node: with_filter(
+                    plan: with_filter(
                         PlanNode::ClusteredRangeScan {
                             object: binding.object,
                             name: table.name.clone(),
@@ -713,11 +805,11 @@ impl<'a> Optimizer<'a> {
                 )
             };
             out.push(Cand {
-                node: with_filter(node, match_rows),
+                plan: with_filter(node, match_rows),
                 cost,
                 rows: rows_out,
                 width,
-                order: Some((b_idx, lead.clone())),
+                order: Some((b_idx, Rc::from(lead.as_str()))),
             });
         }
 
@@ -734,83 +826,50 @@ impl<'a> Optimizer<'a> {
     // ------------------------------------------------------------------
 
     /// Enumerates physical joins of `left` (a planned subset) with `right`
-    /// (an access path of binding `b`), given the connecting equijoin preds.
+    /// (an access path of binding `b`) across `edge`, inserting each into
+    /// `frontier`.
     fn join_candidates(
         &self,
         left: &Cand,
         right: &Cand,
         b: usize,
-        links: &[&(ColRef, ColRef, f64)],
+        edge: &JoinEdge,
         bindings: &[Binding],
-    ) -> Vec<Cand> {
-        let mut out = Vec::new();
-        let combined_sel: f64 = if links.is_empty() {
-            1.0 // cartesian
-        } else {
-            links.iter().map(|(_, _, s)| *s).product()
-        };
-        // Key-join detection: when the join columns on `b`'s side cover its
-        // clustered (unique) key, each left row matches at most one `b` row
-        // — a FK lookup. The independence product grossly underestimates
-        // composite keys (e.g. lineitem ⋈ partsupp on partkey+suppkey), so
-        // use `left.rows × surviving fraction of b` instead.
-        let right_table = &bindings[b].table;
-        let b_side_cols: Vec<&str> = links
-            .iter()
-            .map(|(a, c, _)| if c.0 == b { c.1.as_str() } else { a.1.as_str() })
-            .collect();
-        let covers_key = !links.is_empty()
-            && !right_table.clustered_on.is_empty()
-            && right_table
-                .clustered_on
-                .iter()
-                .all(|k| b_side_cols.iter().any(|c| c.eq_ignore_ascii_case(k)));
-        let rows = if covers_key {
-            let fraction = (right.rows / right_table.row_count.max(1) as f64).min(1.0);
+        frontier: &mut Vec<Cand>,
+    ) {
+        let rows = if edge.covers_key {
+            let fraction = (right.rows / bindings[b].table.row_count.max(1) as f64).min(1.0);
             (left.rows * fraction).max(1e-3)
         } else {
-            (left.rows * right.rows * combined_sel).max(1e-3)
+            (left.rows * right.rows * edge.sel).max(1e-3)
         };
         let width = (left.width + right.width).min(256);
-        let on: String = if links.is_empty() {
-            "cartesian".to_string()
-        } else {
-            links
-                .iter()
-                .map(|(a, c, _)| format!("{}={}", a.1, c.1))
-                .collect::<Vec<_>>()
-                .join(" AND ")
+        let mut emit = |plan, cost, order| {
+            let cand = Cand {
+                plan: Rc::new(plan),
+                cost,
+                rows,
+                width,
+                order,
+            };
+            insert_candidate(frontier, cand, self.cfg.max_candidates);
         };
 
-        // Key pair oriented as (left side col, right side col).
-        let oriented: Vec<(ColRef, ColRef)> = links
-            .iter()
-            .map(|(a, c, _)| {
-                if c.0 == b {
-                    (a.clone(), c.clone())
-                } else {
-                    (c.clone(), a.clone())
-                }
-            })
-            .collect();
-
         // Merge join: both inputs ordered on a connecting key pair.
-        for (lk, rk) in &oriented {
+        for (lk, rk) in &edge.oriented {
             let l_ok = left.order.as_ref() == Some(lk);
             let r_ok = right.order.as_ref() == Some(rk);
             if l_ok && r_ok {
-                out.push(Cand {
-                    node: PlanNode::MergeJoin {
-                        on: on.clone(),
+                emit(
+                    Recipe::MergeJoin {
+                        on: edge.on.clone(),
                         rows,
-                        left: Box::new(left.node.clone()),
-                        right: Box::new(right.node.clone()),
+                        left: left.plan.clone(),
+                        right: right.plan.clone(),
                     },
-                    cost: left.cost + right.cost + self.cfg.row_cpu_cost * (left.rows + right.rows),
-                    rows,
-                    width,
-                    order: Some(lk.clone()),
-                });
+                    left.cost + right.cost + self.cfg.row_cpu_cost * (left.rows + right.rows),
+                    Some(lk.clone()),
+                );
             } else if r_ok {
                 // Sort the left (intermediate) side, then merge.
                 let blocks = est_blocks(left.rows, left.width);
@@ -824,26 +883,24 @@ impl<'a> Optimizer<'a> {
                 } else {
                     self.cfg.sort_cpu_factor * blocks as f64
                 };
-                out.push(Cand {
-                    node: PlanNode::MergeJoin {
-                        on: on.clone(),
+                emit(
+                    Recipe::MergeJoin {
+                        on: edge.on.clone(),
                         rows,
-                        left: Box::new(PlanNode::Sort {
+                        left: Rc::new(Recipe::Sort {
                             by: lk.1.clone(),
                             rows: left.rows,
                             spill_blocks: spill,
-                            child: Box::new(left.node.clone()),
+                            child: left.plan.clone(),
                         }),
-                        right: Box::new(right.node.clone()),
+                        right: right.plan.clone(),
                     },
-                    cost: left.cost
+                    left.cost
                         + right.cost
                         + sort_cost
                         + self.cfg.row_cpu_cost * (left.rows + right.rows),
-                    rows,
-                    width,
-                    order: Some(lk.clone()),
-                });
+                    Some(lk.clone()),
+                );
             }
         }
 
@@ -851,10 +908,10 @@ impl<'a> Optimizer<'a> {
         {
             let left_bytes = left.rows * left.width as f64;
             let right_bytes = right.rows * right.width as f64;
-            let (build, probe, probe_order) = if left_bytes <= right_bytes {
-                (left, right, right.order.clone())
+            let (build, probe) = if left_bytes <= right_bytes {
+                (left, right)
             } else {
-                (right, left, left.order.clone())
+                (right, left)
             };
             let build_blocks = est_blocks(build.rows, build.width);
             let spill = if build_blocks > self.cfg.memory_grant_blocks {
@@ -862,47 +919,40 @@ impl<'a> Optimizer<'a> {
             } else {
                 0
             };
-            out.push(Cand {
-                node: PlanNode::HashJoin {
-                    on: on.clone(),
+            emit(
+                Recipe::HashJoin {
+                    on: edge.on.clone(),
                     rows,
-                    build: Box::new(build.node.clone()),
-                    probe: Box::new(probe.node.clone()),
+                    build: build.plan.clone(),
+                    probe: probe.plan.clone(),
                     spill_blocks: spill,
                 },
-                cost: left.cost
+                left.cost
                     + right.cost
                     + self.cfg.hash_build_factor * build_blocks as f64
                     + self.cfg.spill_io_factor * spill as f64
                     + self.cfg.row_cpu_cost * (left.rows + right.rows),
-                rows,
-                width,
-                order: probe_order,
-            });
+                probe.order.clone(),
+            );
         }
 
         // Nested loops with an indexed inner (clustered key or nonclustered
         // index on the join column of `b`). Only worthwhile for selective
         // outers; enumerate and let cost decide.
-        if let Some((_, rk)) = oriented.first() {
-            if let Some((inner_node, inner_cost)) = self.nl_inner(&bindings[b], rk, left.rows, rows)
-            {
-                out.push(Cand {
-                    node: PlanNode::NestedLoops {
-                        on: on.clone(),
+        if let Some((_, rk)) = edge.oriented.first() {
+            if let Some((inner, inner_cost)) = self.nl_inner(&bindings[b], rk, left.rows, rows) {
+                emit(
+                    Recipe::NestedLoops {
+                        on: edge.on.clone(),
                         rows,
-                        outer: Box::new(left.node.clone()),
-                        inner: Box::new(inner_node),
+                        outer: left.plan.clone(),
+                        inner: Rc::new(Recipe::Node(inner)),
                     },
-                    cost: left.cost + inner_cost + self.cfg.row_cpu_cost * left.rows,
-                    rows,
-                    width,
-                    order: left.order.clone(),
-                });
+                    left.cost + inner_cost + self.cfg.row_cpu_cost * left.rows,
+                    left.order.clone(),
+                );
             }
         }
-
-        out
     }
 
     /// Builds the repeated-probe inner side of an indexed nested-loops join
@@ -989,13 +1039,13 @@ impl<'a> Optimizer<'a> {
                 cand.cost += inner.cost
                     + self.cfg.hash_build_factor * build_blocks as f64
                     + self.cfg.spill_io_factor * spill as f64;
-                cand.node = PlanNode::HashJoin {
+                cand.plan = wrap(cand.plan, |probe| PlanNode::HashJoin {
                     on: "semijoin".into(),
                     rows: cand.rows,
-                    build: Box::new(inner.node),
-                    probe: Box::new(cand.node),
+                    build: Box::new(into_node(inner.plan)),
+                    probe,
                     spill_blocks: spill,
-                };
+                });
                 Ok(cand)
             }
             Expr::Binary { op, left, right } if op.is_comparison() => {
@@ -1020,15 +1070,15 @@ impl<'a> Optimizer<'a> {
                 };
                 cand.rows = (cand.rows * sel).max(1e-3);
                 cand.cost += inner.cost;
-                cand.node = PlanNode::Apply {
+                cand.plan = wrap(cand.plan, |child| PlanNode::Apply {
                     rows: cand.rows,
-                    sub: Box::new(inner.node),
+                    sub: Box::new(into_node(inner.plan)),
                     main: Box::new(PlanNode::Filter {
                         predicate: render_expr(e),
                         rows: cand.rows,
-                        child: Box::new(cand.node),
+                        child,
                     }),
-                };
+                });
                 cand.order = None;
                 Ok(cand)
             }
@@ -1049,18 +1099,18 @@ impl<'a> Optimizer<'a> {
         for sub in e.subqueries() {
             let inner = self.plan_select(sub, bindings)?;
             cand.cost += inner.cost;
-            cand.node = PlanNode::Apply {
+            cand.plan = wrap(cand.plan, |main| PlanNode::Apply {
                 rows: cand.rows,
-                sub: Box::new(inner.node),
-                main: Box::new(cand.node),
-            };
+                sub: Box::new(into_node(inner.plan)),
+                main,
+            });
         }
         cand.rows = (cand.rows * SEL_UNKNOWN).max(1e-3);
-        cand.node = PlanNode::Filter {
+        cand.plan = wrap(cand.plan, |child| PlanNode::Filter {
             predicate: render_expr(e),
             rows: cand.rows,
-            child: Box::new(cand.node),
-        };
+            child,
+        });
         cand.order = None;
         Ok(cand)
     }
@@ -1124,7 +1174,7 @@ impl<'a> Optimizer<'a> {
                     name: t.name.clone(),
                     write_blocks,
                     rows: planned.rows,
-                    child: Some(Box::new(planned.node)),
+                    child: Some(Box::new(into_node(planned.plan))),
                 })
             }
         }
@@ -1168,7 +1218,7 @@ impl<'a> Optimizer<'a> {
                 name: t.name.clone(),
                 write_blocks,
                 rows: matched,
-                child: Box::new(access.node),
+                child: Box::new(into_node(access.plan)),
             }
         } else {
             PlanNode::Delete {
@@ -1176,7 +1226,7 @@ impl<'a> Optimizer<'a> {
                 name: t.name.clone(),
                 write_blocks,
                 rows: matched,
-                child: Box::new(access.node),
+                child: Box::new(into_node(access.plan)),
             }
         })
     }
@@ -1315,6 +1365,72 @@ fn param_filter(original: Expr, _ndv: u64) -> Expr {
         }
     } else {
         original
+    }
+}
+
+/// What every (left, right) candidate pair shares when binding `b` joins
+/// a planned subset: built once per `(mask, b)`.
+struct JoinEdge {
+    /// Join predicate rendering (`cartesian` when no predicate links them).
+    on: Rc<str>,
+    /// Independence product of the linking predicates' selectivities.
+    sel: f64,
+    /// The links cover `b`'s clustered (unique) key.
+    covers_key: bool,
+    /// Linking key pairs oriented as (subset side, `b` side).
+    oriented: Vec<(ColRef, ColRef)>,
+}
+
+/// The equijoin predicates linking the subset `mask` to binding `b`
+/// (whose table is `table`), summarised for [`Optimizer::join_candidates`].
+fn join_edge(mask: usize, b: usize, joins: &[(ColRef, ColRef, f64)], table: &Table) -> JoinEdge {
+    let links: Vec<&(ColRef, ColRef, f64)> = joins
+        .iter()
+        .filter(|(a, c, _)| {
+            (mask >> a.0) & 1 == 1 && c.0 == b || (mask >> c.0) & 1 == 1 && a.0 == b
+        })
+        .collect();
+    let sel: f64 = if links.is_empty() {
+        1.0 // cartesian
+    } else {
+        links.iter().map(|(_, _, s)| *s).product()
+    };
+    // Key-join detection: when the join columns on `b`'s side cover its
+    // clustered (unique) key, each left row matches at most one `b` row
+    // — a FK lookup. The independence product grossly underestimates
+    // composite keys (e.g. lineitem ⋈ partsupp on partkey+suppkey), so
+    // the join uses `left.rows × surviving fraction of b` instead.
+    let oriented: Vec<(ColRef, ColRef)> = links
+        .iter()
+        .map(|(a, c, _)| {
+            if c.0 == b {
+                (a.clone(), c.clone())
+            } else {
+                (c.clone(), a.clone())
+            }
+        })
+        .collect();
+    let covers_key = !links.is_empty()
+        && !table.clustered_on.is_empty()
+        && table
+            .clustered_on
+            .iter()
+            .all(|k| oriented.iter().any(|(_, c)| c.1.eq_ignore_ascii_case(k)));
+    let on: Rc<str> = if links.is_empty() {
+        "cartesian".into()
+    } else {
+        links
+            .iter()
+            .map(|(a, c, _)| format!("{}={}", a.1, c.1))
+            .collect::<Vec<_>>()
+            .join(" AND ")
+            .into()
+    };
+    JoinEdge {
+        on,
+        sel,
+        covers_key,
+        oriented,
     }
 }
 
@@ -1628,6 +1744,37 @@ mod tests {
         let c = tpch_catalog(0.01);
         let p = plan(&c, "SELECT COUNT(*) FROM region, nation");
         assert_eq!(p.objects().len(), 2);
+    }
+
+    /// A chain self-join of `n` lineitem bindings.
+    fn chain_join(n: usize) -> String {
+        let from: Vec<String> = (0..n).map(|i| format!("lineitem l{i}")).collect();
+        let on: Vec<String> = (1..n)
+            .map(|i| format!("l{}.l_orderkey = l{i}.l_orderkey", i - 1))
+            .collect();
+        format!(
+            "SELECT COUNT(*) FROM {} WHERE {}",
+            from.join(", "),
+            on.join(" AND ")
+        )
+    }
+
+    #[test]
+    fn join_width_is_bounded() {
+        let c = tpch_catalog(0.01);
+        // 65 bindings would overflow a 64-bit subset mask; one past the
+        // bound is rejected before the DP starts.
+        for n in [65, MAX_JOIN_BINDINGS + 1] {
+            let stmt = parse_statement(&chain_join(n)).unwrap();
+            match plan_statement(&c, &stmt) {
+                Err(PlanError::Unsupported(msg)) => {
+                    assert!(msg.contains(&format!("{n} table bindings")), "{msg}")
+                }
+                other => panic!("{n} bindings: {other:?}"),
+            }
+        }
+        // The bound itself still plans.
+        plan(&c, &chain_join(MAX_JOIN_BINDINGS));
     }
 
     #[test]

@@ -511,6 +511,15 @@ mod tests {
         assert_eq!(s.plans.len(), 1);
         assert_eq!(s.version, 1);
         assert!(s.add_statements("").is_err());
+        // A FROM clause too wide for the join search is refused up front.
+        let n = dblayout_planner::MAX_JOIN_BINDINGS + 1;
+        let from: Vec<String> = (0..n).map(|i| format!("nation n{i}")).collect();
+        let err = s
+            .add_statements(&format!("SELECT COUNT(*) FROM {};", from.join(", ")))
+            .unwrap_err();
+        assert_eq!(err.code, "plan_error");
+        assert!(err.message.contains("table bindings"), "{}", err.message);
+        assert_eq!(s.plans.len(), 1);
     }
 
     #[test]
